@@ -1,6 +1,5 @@
 //! The LSM-tree database: WAL + memtable + SSTables + tiered compaction.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -8,7 +7,8 @@ use parking_lot::Mutex;
 use fskit::{FileSystem, FileSystemExt, FsResult};
 
 use crate::memtable::Memtable;
-use crate::sstable::SsTable;
+use crate::merge;
+use crate::sstable::{SsTable, TableWriter};
 use crate::wal::{Wal, WalRecord};
 
 /// When the write-ahead log is forced to the device.
@@ -181,7 +181,7 @@ impl Db {
 
     fn write(&self, key: &[u8], value: Option<&[u8]>) -> FsResult<()> {
         let mut st = self.state.lock();
-        st.wal.append(&WalRecord { key: key.to_vec(), value: value.map(|v| v.to_vec()) })?;
+        st.wal.append(key, value)?;
         st.writes_since_sync += 1;
         let should_sync = match self.options.wal_sync {
             WalSync::EveryWrite => true,
@@ -225,25 +225,24 @@ impl Db {
 
     /// Range scan: up to `count` live entries with keys `>= start`, in order.
     ///
+    /// Merges the memtable with one [`SsTable::cursor`] per table, so each
+    /// table is read only from the index segment that may hold `start` and
+    /// only as far as the rows returned.
+    ///
     /// # Errors
     ///
     /// Propagates file-system errors.
     pub fn scan(&self, start: &[u8], count: usize) -> FsResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut st = self.state.lock();
         st.stats.scans += 1;
-        // Merge all sources, newest version wins.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for table in st.tables.iter() {
-            for entry in table.scan_all()? {
-                if entry.key.as_slice() >= start {
-                    merged.insert(entry.key, entry.value);
-                }
-            }
+        let mut rows = Vec::new();
+        if count > 0 {
+            merge::for_each_live(Some(&st.memtable), &st.tables, start, |key, value| {
+                rows.push((key.to_vec(), value.to_vec()));
+                rows.len() < count
+            })?;
         }
-        for (k, v) in st.memtable.range_from(start) {
-            merged.insert(k.clone(), v.clone());
-        }
-        Ok(merged.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).take(count).collect())
+        Ok(rows)
     }
 
     /// Forces the memtable to an SSTable (also truncates the WAL).
@@ -279,21 +278,19 @@ impl Db {
     fn compact_locked(&self, st: &mut DbState) -> FsResult<()> {
         // Tiered compaction: merge every table into one, newest version wins,
         // dropping tombstones (full merge ⇒ nothing older can resurface).
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for table in st.tables.iter() {
-            for entry in table.scan_all()? {
-                merged.insert(entry.key, entry.value);
-            }
-        }
-        let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-            merged.into_iter().filter(|(_, v)| v.is_some()).collect();
+        let input_bytes = st.tables.iter().map(|t| t.size_bytes() as usize).sum();
+        let mut merged = TableWriter::with_capacity(input_bytes);
+        merge::for_each_live(None, &st.tables, &[], |key, value| {
+            merged.push(key, Some(value));
+            true
+        })?;
         let id = st.next_table_id;
         st.next_table_id += 1;
         let path = format!("{}/sst-{id}", self.dir);
-        let new_table = if entries.is_empty() {
+        let new_table = if merged.is_empty() {
             None
         } else {
-            Some(SsTable::write(Arc::clone(&self.fs), &path, &entries)?)
+            Some(merged.finish(Arc::clone(&self.fs), &path)?)
         };
         for table in st.tables.drain(..) {
             table.delete()?;
@@ -317,18 +314,18 @@ impl Db {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baselines::Ext4Like;
-    use bytefs::{ByteFs, ByteFsConfig};
-    use mssd::{DramMode, Mssd, MssdConfig};
+    use std::collections::BTreeMap;
 
-    fn bytefs() -> Arc<dyn FileSystem> {
-        let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
-        ByteFs::format(dev, ByteFsConfig::default()).unwrap()
-    }
+    use baselines::Ext4Like;
+    use mssd::{DramMode, Mssd, MssdConfig};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    use crate::testfs::{test_fs, CountingFs};
 
     #[test]
     fn put_get_delete_roundtrip() {
-        let db = Db::open(bytefs(), "/db", DbOptions::small_test()).unwrap();
+        let db = Db::open(test_fs(), "/db", DbOptions::small_test()).unwrap();
         db.put(b"alpha", b"1").unwrap();
         db.put(b"beta", b"2").unwrap();
         assert_eq!(db.get(b"alpha").unwrap(), Some(b"1".to_vec()));
@@ -341,7 +338,7 @@ mod tests {
 
     #[test]
     fn flush_and_read_from_sstables() {
-        let db = Db::open(bytefs(), "/db", DbOptions::small_test()).unwrap();
+        let db = Db::open(test_fs(), "/db", DbOptions::small_test()).unwrap();
         for i in 0..200u32 {
             db.put(format!("user{i:04}").as_bytes(), &[i as u8; 100]).unwrap();
         }
@@ -357,7 +354,7 @@ mod tests {
         let mut opts = DbOptions::small_test();
         opts.memtable_bytes = 2 << 10;
         opts.compaction_threshold = 2;
-        let db = Db::open(bytefs(), "/db", opts).unwrap();
+        let db = Db::open(test_fs(), "/db", opts).unwrap();
         for round in 0..6u32 {
             for i in 0..40u32 {
                 db.put(format!("k{i:03}").as_bytes(), format!("v{round}-{i}").as_bytes()).unwrap();
@@ -374,7 +371,7 @@ mod tests {
 
     #[test]
     fn scans_merge_memtable_and_tables() {
-        let db = Db::open(bytefs(), "/db", DbOptions::small_test()).unwrap();
+        let db = Db::open(test_fs(), "/db", DbOptions::small_test()).unwrap();
         for i in 0..50u32 {
             db.put(format!("key{i:03}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
@@ -391,7 +388,7 @@ mod tests {
 
     #[test]
     fn reopen_recovers_from_wal_and_sstables() {
-        let fs = bytefs();
+        let fs = test_fs();
         {
             let db = Db::open(Arc::clone(&fs), "/db", DbOptions::small_test()).unwrap();
             for i in 0..100u32 {
@@ -421,7 +418,7 @@ mod tests {
 
     #[test]
     fn wal_sync_every_write_is_respected() {
-        let fs = bytefs();
+        let fs = test_fs();
         let dev = Arc::clone(fs.device());
         let opts = DbOptions { wal_sync: WalSync::EveryWrite, ..DbOptions::small_test() };
         let db = Db::open(fs, "/db", opts).unwrap();
@@ -431,5 +428,122 @@ mod tests {
         }
         let after = dev.traffic().tx_commits;
         assert!(after - before >= 10, "every write forces a durable WAL sync");
+    }
+
+    type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+    /// Every scan from starts before, on, between and after keys (and so
+    /// before, on and between index anchors) matches the model, for counts
+    /// of 0, 1, a few and all.
+    fn check_scans(db: &Db, model: &Model, rng: &mut SmallRng) {
+        let mut starts = vec![Vec::new(), b"a".to_vec(), b"z".to_vec()];
+        for n in (0..KEYS).step_by(3) {
+            starts.push(model_key(n));
+            starts.push([model_key(n), b"~".to_vec()].concat());
+        }
+        for start in &starts {
+            let few = rng.gen_range(2..60);
+            for count in [0, 1, few, usize::MAX] {
+                let rows = db.scan(start, count).unwrap();
+                let expected: Vec<_> = model
+                    .range(start.clone()..)
+                    .take(count)
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect();
+                assert!(
+                    rows == expected,
+                    "scan from {:?} of {count} rows: {} rows, model {}",
+                    String::from_utf8_lossy(start),
+                    rows.len(),
+                    expected.len()
+                );
+            }
+        }
+    }
+
+    const KEYS: u64 = 300;
+
+    fn model_key(n: u64) -> Vec<u8> {
+        format!("k{n:04}").into_bytes()
+    }
+
+    #[test]
+    fn scans_match_a_model_across_flushes_compaction_and_reopen() {
+        let fs = test_fs();
+        let opts = DbOptions {
+            memtable_bytes: usize::MAX,
+            compaction_threshold: 4,
+            wal_sync: WalSync::Periodic(8),
+        };
+        let mut db = Db::open(Arc::clone(&fs), "/db", opts.clone()).unwrap();
+        let mut model = Model::new();
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut most_tables = 0;
+        let mut compactions = 0;
+        for round in 0..7 {
+            for _ in 0..120 {
+                let key = model_key(rng.gen_range(0..KEYS));
+                if rng.gen_range(0..4) == 0 {
+                    db.delete(&key).unwrap();
+                    model.remove(&key);
+                } else {
+                    let value = vec![rng.gen::<u8>(); rng.gen_range(0..40)];
+                    db.put(&key, &value).unwrap();
+                    model.insert(key, value);
+                }
+            }
+            check_scans(&db, &model, &mut rng);
+            if round == 5 {
+                // The memtable survives in the WAL only.
+                compactions += db.stats().compactions;
+                drop(db);
+                db = Db::open(Arc::clone(&fs), "/db", opts.clone()).unwrap();
+                check_scans(&db, &model, &mut rng);
+            }
+            db.flush().unwrap();
+            most_tables = most_tables.max(db.table_count());
+        }
+        check_scans(&db, &model, &mut rng);
+        assert!(most_tables >= 3, "at most {most_tables} tables at once");
+        assert_eq!(compactions + db.stats().compactions, 1);
+    }
+
+    #[test]
+    fn gets_and_scans_read_at_most_two_segments_per_table() {
+        const TABLES: usize = 4;
+        const PER_TABLE: usize = 400;
+        const VALUE: usize = 100;
+        let counting = CountingFs::wrap(test_fs());
+        let fs: Arc<dyn FileSystem> = counting.clone();
+        let opts = DbOptions {
+            memtable_bytes: usize::MAX,
+            compaction_threshold: TABLES,
+            ..DbOptions::small_test()
+        };
+        let db = Db::open(fs, "/db", opts).unwrap();
+        // Interleaved keys, so every table spans the whole key range.
+        let key = |i: usize| format!("key{i:05}").into_bytes();
+        for t in 0..TABLES {
+            for i in 0..PER_TABLE {
+                db.put(&key(i * TABLES + t), &[t as u8; VALUE]).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert_eq!(db.table_count(), TABLES);
+        // Every entry encodes to the same size: header, key, value.
+        let segment = 16 * (9 + key(0).len() + VALUE) as u64;
+        let bound = TABLES as u64 * 2 * segment;
+
+        let before = counting.read_bytes();
+        assert_eq!(db.get(&key(801)).unwrap(), Some(vec![1; VALUE]));
+        let read = counting.read_bytes() - before;
+        assert!(read > 0 && read <= bound, "a point get read {read} bytes");
+
+        let before = counting.read_bytes();
+        let rows = db.scan(&key(803), 50).unwrap();
+        assert_eq!(rows.len(), 50);
+        assert_eq!(rows[49].0, key(852));
+        let read = counting.read_bytes() - before;
+        assert!(read <= bound, "a 50-row scan read {read} bytes, bound {bound}");
     }
 }

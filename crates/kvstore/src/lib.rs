@@ -8,8 +8,10 @@
 //! * a **write-ahead log** that receives small appends and periodic `fsync`s,
 //! * an in-memory **memtable** flushed to immutable, sorted **SSTables**,
 //! * tiered **compaction** that rewrites SSTables with large sequential I/O,
-//! * point lookups that read small ranges of SSTable files, and range scans
-//!   that stream through them.
+//! * point lookups that read one index segment of an SSTable file, and range
+//!   scans that seek each table through its sparse index and stream it
+//!   segment by segment, merging the tables and the memtable newest-first
+//!   and stopping at the last row they return.
 //!
 //! The store is generic over [`fskit::FileSystem`], so the same YCSB workload
 //! runs unmodified on ByteFS and every baseline.
@@ -34,7 +36,10 @@
 
 pub mod db;
 pub mod memtable;
+mod merge;
 pub mod sstable;
+#[cfg(test)]
+mod testfs;
 pub mod wal;
 
 pub use db::{Db, DbOptions, DbStats, WalSync};

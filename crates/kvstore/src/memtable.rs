@@ -1,6 +1,6 @@
 //! The in-memory write buffer (memtable).
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 
 /// A sorted in-memory buffer of recent writes. `None` values are tombstones
@@ -60,11 +60,8 @@ impl Memtable {
     }
 
     /// Iterates over entries with keys `>= start`, in order.
-    pub fn range_from<'a>(
-        &'a self,
-        start: &[u8],
-    ) -> impl Iterator<Item = (&'a Vec<u8>, &'a Option<Vec<u8>>)> + 'a {
-        self.entries.range::<Vec<u8>, _>((Bound::Included(start.to_vec()), Bound::Unbounded))
+    pub fn range_from(&self, start: &[u8]) -> btree_map::Range<'_, Vec<u8>, Option<Vec<u8>>> {
+        self.entries.range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
     }
 
     /// Drains the memtable into a sorted vector of `(key, value-or-tombstone)`.

@@ -23,6 +23,8 @@ use std::sync::Arc;
 use fskit::check::{CrashConsistent, Violation};
 use fskit::{Fd, FileSystem, FsResult, OpenFlags};
 
+use crate::sstable::{decode_entry, encode_entry};
+
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
@@ -36,60 +38,58 @@ pub struct WalRecord {
 /// the tombstone flag and the trailing checksum.
 const RECORD_OVERHEAD: usize = 4 + 4 + 1 + 4;
 
-/// FNV-1a over the record's header and payload; 32 bits is plenty to catch
-/// torn-write corruption (this is an integrity check, not cryptography).
+/// Checksum over the record's header and payload; 32 bits is plenty to
+/// catch torn-write corruption (this is an integrity check, not
+/// cryptography). It consumes eight bytes per step, each step a bijection
+/// of the state for a fixed word, so two records that differ in a single
+/// word always differ in the 64-bit state before it is folded to 32 bits.
 fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in bytes {
-        h ^= u32::from(*b);
-        h = h.wrapping_mul(0x0100_0193);
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        h = (h ^ word).wrapping_mul(K).rotate_left(29);
     }
-    h
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    h ^= h >> 32;
+    h = h.wrapping_mul(K);
+    (h ^ (h >> 29)) as u32
+}
+
+/// Serialized size of a record holding `key` and `value`.
+fn record_len(key: &[u8], value: Option<&[u8]>) -> usize {
+    RECORD_OVERHEAD + key.len() + value.map_or(0, <[u8]>::len)
+}
+
+/// Appends the encoding of one record to `out`: an entry in the SSTable
+/// format (header, key, value) and the checksum over it.
+fn encode_record(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
+    let start = out.len();
+    out.reserve(record_len(key, value));
+    encode_entry(out, key, value);
+    let crc = checksum(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 impl WalRecord {
     /// Serialized size of this record in bytes.
     pub fn encoded_len(&self) -> usize {
-        RECORD_OVERHEAD + self.key.len() + self.value.as_ref().map(|v| v.len()).unwrap_or(0)
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        let vlen = self.value.as_ref().map(|v| v.len()).unwrap_or(0) as u32;
-        out.extend_from_slice(&vlen.to_le_bytes());
-        out.push(self.value.is_some() as u8);
-        out.extend_from_slice(&self.key);
-        if let Some(v) = &self.value {
-            out.extend_from_slice(v);
-        }
-        let crc = checksum(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        record_len(&self.key, self.value.as_deref())
     }
 
     /// Decodes one record off the front of `buf`. Returns the record and its
     /// encoded size, or `None` when the bytes are incomplete **or fail the
     /// checksum** — the caller treats either as the (torn) end of the log.
     fn decode(buf: &[u8]) -> Option<(WalRecord, usize)> {
-        if buf.len() < RECORD_OVERHEAD {
+        let ((key, value), body) = decode_entry(buf)?;
+        let stored = u32::from_le_bytes(buf.get(body..body + 4)?.try_into().ok()?);
+        if checksum(&buf[..body]) != stored {
             return None;
         }
-        let klen = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-        let vlen = u32::from_le_bytes(buf[4..8].try_into().ok()?) as usize;
-        let has_value = buf[8] != 0;
-        let total = RECORD_OVERHEAD + klen + vlen;
-        if klen == 0 || buf.len() < total {
-            return None;
-        }
-        let body_end = total - 4;
-        let stored = u32::from_le_bytes(buf[body_end..total].try_into().ok()?);
-        if checksum(&buf[..body_end]) != stored {
-            return None;
-        }
-        let key = buf[9..9 + klen].to_vec();
-        let value = has_value.then(|| buf[9 + klen..body_end].to_vec());
-        Some((WalRecord { key, value }, total))
+        Some((WalRecord { key: key.to_vec(), value: value.map(<[u8]>::to_vec) }, body + 4))
     }
 }
 
@@ -112,6 +112,8 @@ pub struct Wal {
     fd: Fd,
     offset: u64,
     torn_tails_truncated: u64,
+    /// Encoding buffer reused by every append.
+    scratch: Vec<u8>,
 }
 
 impl Wal {
@@ -137,7 +139,14 @@ impl Wal {
             fs.truncate(fd, valid)?;
             torn_tails_truncated = 1;
         }
-        Ok(Self { fs, path: path.to_string(), fd, offset: valid, torn_tails_truncated })
+        Ok(Self {
+            fs,
+            path: path.to_string(),
+            fd,
+            offset: valid,
+            torn_tails_truncated,
+            scratch: Vec::new(),
+        })
     }
 
     /// Number of torn tails this WAL truncated when it was opened (0 or 1;
@@ -151,11 +160,13 @@ impl Wal {
         self.offset
     }
 
-    /// Appends a record (buffered; call [`Wal::sync`] to make it durable).
-    pub fn append(&mut self, record: &WalRecord) -> FsResult<()> {
-        let bytes = record.encode();
-        self.fs.write(self.fd, self.offset, &bytes)?;
-        self.offset += bytes.len() as u64;
+    /// Appends a record of `key` and `value`, `None` for a deletion
+    /// (buffered; call [`Wal::sync`] to make it durable).
+    pub fn append(&mut self, key: &[u8], value: Option<&[u8]>) -> FsResult<()> {
+        self.scratch.clear();
+        encode_record(&mut self.scratch, key, value);
+        self.fs.write(self.fd, self.offset, &self.scratch)?;
+        self.offset += self.scratch.len() as u64;
         Ok(())
     }
 
@@ -245,34 +256,39 @@ impl CrashConsistent for crate::Db {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytefs::{ByteFs, ByteFsConfig};
-    use mssd::{DramMode, Mssd, MssdConfig};
+    use crate::testfs::test_fs;
 
-    fn test_fs() -> Arc<dyn FileSystem> {
-        let dev = Mssd::new(MssdConfig::small_test(), DramMode::WriteLog);
-        ByteFs::format(dev, ByteFsConfig::default()).unwrap()
+    fn encode(rec: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record(&mut out, &rec.key, rec.value.as_deref());
+        out
     }
 
     #[test]
     fn record_roundtrip() {
         let rec = WalRecord { key: b"user1".to_vec(), value: Some(b"value".to_vec()) };
-        let encoded = rec.encode();
+        let encoded = encode(&rec);
         assert_eq!(encoded.len(), rec.encoded_len());
         let (back, used) = WalRecord::decode(&encoded).unwrap();
         assert_eq!(back, rec);
         assert_eq!(used, encoded.len());
         let tomb = WalRecord { key: b"gone".to_vec(), value: None };
-        let (back, _) = WalRecord::decode(&tomb.encode()).unwrap();
+        let (back, _) = WalRecord::decode(&encode(&tomb)).unwrap();
         assert_eq!(back.value, None);
     }
 
     #[test]
     fn corrupted_payload_fails_the_checksum() {
         let rec = WalRecord { key: b"key".to_vec(), value: Some(b"payload".to_vec()) };
-        let mut encoded = rec.encode();
-        // Flip one payload byte: header still decodes, checksum must not.
-        encoded[10] ^= 0xFF;
-        assert!(WalRecord::decode(&encoded).is_none());
+        let encoded = encode(&rec);
+        // Flip bits after the header: it still decodes, the checksum must not.
+        for at in 9..encoded.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut torn = encoded.clone();
+                torn[at] ^= flip;
+                assert!(WalRecord::decode(&torn).is_none(), "byte {at} ^ {flip:#x} went unnoticed");
+            }
+        }
     }
 
     #[test]
@@ -280,11 +296,8 @@ mod tests {
         let fs = test_fs();
         let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
         for i in 0..20u32 {
-            wal.append(&WalRecord {
-                key: format!("key{i}").into_bytes(),
-                value: (i % 3 != 0).then(|| format!("value{i}").into_bytes()),
-            })
-            .unwrap();
+            let value = format!("value{i}").into_bytes();
+            wal.append(format!("key{i}").as_bytes(), (i % 3 != 0).then_some(&value[..])).unwrap();
         }
         wal.sync().unwrap();
         assert!(wal.size() > 0);
@@ -300,7 +313,7 @@ mod tests {
     fn reset_truncates() {
         let fs = test_fs();
         let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
-        wal.append(&WalRecord { key: b"k".to_vec(), value: Some(b"v".to_vec()) }).unwrap();
+        wal.append(b"k", Some(b"v")).unwrap();
         wal.sync().unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.size(), 0);
@@ -312,11 +325,11 @@ mod tests {
         let fs = test_fs();
         {
             let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
-            wal.append(&WalRecord { key: b"a".to_vec(), value: Some(b"1".to_vec()) }).unwrap();
+            wal.append(b"a", Some(b"1")).unwrap();
             wal.sync().unwrap();
         }
         let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
-        wal.append(&WalRecord { key: b"b".to_vec(), value: Some(b"2".to_vec()) }).unwrap();
+        wal.append(b"b", Some(b"2")).unwrap();
         wal.sync().unwrap();
         let records = wal.replay().unwrap();
         assert_eq!(records.len(), 2);
@@ -327,8 +340,7 @@ mod tests {
         let fs = test_fs();
         {
             let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
-            wal.append(&WalRecord { key: b"whole".to_vec(), value: Some(b"record".to_vec()) })
-                .unwrap();
+            wal.append(b"whole", Some(b"record")).unwrap();
             wal.sync().unwrap();
             // Simulate a torn append: garbage partial header at the end.
             let fd = fs.open("/wal", fskit::OpenFlags::read_write()).unwrap();
@@ -342,7 +354,7 @@ mod tests {
         let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
         assert_eq!(wal.size(), whole_len as u64, "torn tail truncated at open");
         assert_eq!(wal.torn_tails_truncated(), 1, "truncation recorded in the counter");
-        wal.append(&WalRecord { key: b"next".to_vec(), value: Some(b"rec".to_vec()) }).unwrap();
+        wal.append(b"next", Some(b"rec")).unwrap();
         wal.sync().unwrap();
         let records = wal.replay().unwrap();
         assert_eq!(records.len(), 2);
@@ -354,10 +366,10 @@ mod tests {
     fn torn_final_record_with_valid_header_is_rejected_by_checksum() {
         let fs = test_fs();
         let mut wal = Wal::open(Arc::clone(&fs), "/wal").unwrap();
-        wal.append(&WalRecord { key: b"good".to_vec(), value: Some(b"data".to_vec()) }).unwrap();
+        wal.append(b"good", Some(b"data")).unwrap();
         wal.sync().unwrap();
         let good_len = wal.size();
-        wal.append(&WalRecord { key: b"torn".to_vec(), value: Some(vec![0xAB; 100]) }).unwrap();
+        wal.append(b"torn", Some(&[0xAB; 100])).unwrap();
         wal.sync().unwrap();
         // Tear the final record's payload as a mid-record crash would: the
         // header and length fields stay intact, part of the payload reverts.
