@@ -574,10 +574,7 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
                     st.page_cache.insert_new_dirty(of.ino, index, chunk.to_vec());
                 } else {
                     let base = self.read_page(&mut st, of.ino, index)?;
-                    if !st.page_cache.contains(of.ino, index) {
-                        st.page_cache.insert_clean(of.ino, index, base);
-                    }
-                    st.page_cache.write(of.ino, index, in_page, chunk);
+                    st.page_cache.write_with_fallback(of.ino, index, in_page, chunk, base);
                 }
             } else {
                 // Write-through: build the page image the policy needs.
@@ -664,11 +661,8 @@ impl<P: PersistencePolicy> FileSystem for BaselineFs<P> {
             if last_mapped || resident {
                 let page = self.read_page(&mut st, of.ino, last)?;
                 if self.policy.buffered_data() {
-                    if !st.page_cache.contains(of.ino, last) {
-                        st.page_cache.insert_clean(of.ino, last, page);
-                    }
                     let zeros = vec![0u8; ps - tail_off];
-                    st.page_cache.write(of.ino, last, tail_off, &zeros);
+                    st.page_cache.write_with_fallback(of.ino, last, tail_off, &zeros, page);
                 } else {
                     let mut page = page.to_vec();
                     page[tail_off..].fill(0);

@@ -17,8 +17,8 @@
 //! original) copies the buffer exactly once (`Arc::make_mut`). Read-dominated
 //! paths through the file systems are therefore zero-copy end to end.
 
-use std::collections::{BTreeSet, HashMap};
-use std::ops::Deref;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, RangeBounds, RangeInclusive};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -138,13 +138,31 @@ struct CachedPage {
     last_use: u64,
 }
 
+/// The keys of every page of `inode`: a file's pages are contiguous in the
+/// `(inode, page index)` order the cache is kept in.
+fn file_pages(inode: u64) -> RangeInclusive<PageKey> {
+    (inode, 0)..=(inode, u64::MAX)
+}
+
+/// The zero page that serves as the CoW original of every new page, when CoW
+/// tracking is enabled.
+fn zero_page(page_size: usize, track_cow: bool) -> Option<Arc<Vec<u8>>> {
+    track_cow.then(|| Arc::new(vec![0u8; page_size]))
+}
+
 /// An LRU host page cache keyed by `(inode, page index)`.
+///
+/// Pages are kept ordered by inode, then page index, so the per-file
+/// operations ([`PageCache::take_dirty`], the invalidations) visit only the
+/// file's own pages, and writeback order is the key order.
 #[derive(Debug)]
 pub struct PageCache {
     page_size: usize,
     capacity_pages: usize,
-    track_cow: bool,
-    pages: HashMap<PageKey, CachedPage>,
+    pages: BTreeMap<PageKey, CachedPage>,
+    /// The CoW original of every page a write extends the file by, shared
+    /// (it is only ever read); `None` when CoW tracking is disabled.
+    zero_original: Option<Arc<Vec<u8>>>,
     tick: u64,
 }
 
@@ -153,11 +171,21 @@ impl PageCache {
     /// `page_size` bytes. `track_cow` enables the ByteFS duplicate-page
     /// mechanism.
     pub fn new(capacity_pages: usize, page_size: usize, track_cow: bool) -> Self {
+        Self::with_zero_original(capacity_pages, page_size, zero_page(page_size, track_cow))
+    }
+
+    /// [`PageCache::new`] with the zero original given, so that the shards
+    /// of a [`ShardedPageCache`] share one.
+    fn with_zero_original(
+        capacity_pages: usize,
+        page_size: usize,
+        zero_original: Option<Arc<Vec<u8>>>,
+    ) -> Self {
         Self {
             page_size,
             capacity_pages: capacity_pages.max(1),
-            track_cow,
-            pages: HashMap::new(),
+            pages: BTreeMap::new(),
+            zero_original,
             tick: 0,
         }
     }
@@ -182,35 +210,18 @@ impl PageCache {
         self.pages.values().filter(|p| p.dirty).count()
     }
 
-    /// Bytes used by duplicate (CoW) pages, for the §4.6 memory-overhead
-    /// accounting.
-    pub fn cow_bytes(&self) -> usize {
-        self.pages.values().filter(|p| p.original.is_some()).count() * self.page_size
-    }
-
     /// Whether a page is resident.
     pub fn contains(&self, inode: u64, index: u64) -> bool {
         self.pages.contains_key(&(inode, index))
     }
 
-    fn touch(&mut self, key: PageKey) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(p) = self.pages.get_mut(&key) {
-            p.last_use = tick;
-        }
-    }
-
     /// Returns a zero-copy handle to a resident page (a reference-count bump,
     /// not a 4 KB copy).
     pub fn get(&mut self, inode: u64, index: u64) -> Option<PageRef> {
-        let key = (inode, index);
-        if self.pages.contains_key(&key) {
-            self.touch(key);
-            Some(PageRef(Arc::clone(&self.pages[&key].data)))
-        } else {
-            None
-        }
+        let p = self.pages.get_mut(&(inode, index))?;
+        self.tick += 1;
+        p.last_use = self.tick;
+        Some(PageRef(Arc::clone(&p.data)))
     }
 
     /// Inserts a page read from the device (clean). Evicts clean LRU pages if
@@ -242,7 +253,7 @@ impl PageCache {
     pub fn write(&mut self, inode: u64, index: u64, offset: usize, bytes: &[u8]) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let track_cow = self.track_cow;
+        let track_cow = self.zero_original.is_some();
         match self.pages.get_mut(&(inode, index)) {
             Some(p) => {
                 debug_assert!(offset + bytes.len() <= self.page_size);
@@ -261,14 +272,47 @@ impl PageCache {
         }
     }
 
+    /// Full-page dirty write: overwrites the resident page, or installs
+    /// `data` as a brand-new dirty page when it is absent.
+    pub fn write_full_page(&mut self, inode: u64, index: u64, data: Vec<u8>) {
+        if !self.write(inode, index, 0, &data) {
+            self.insert_new_dirty(inode, index, data);
+        }
+    }
+
+    /// Partial write that always lands: applies `bytes` at `offset` to the
+    /// resident page, or, when the page is absent, installs `base` (the
+    /// page's pre-write contents, read by the caller) and applies the write
+    /// to it. The cache makes room only after the write, so the new page is
+    /// already dirty and cannot be the eviction victim.
+    pub fn write_with_fallback(
+        &mut self,
+        inode: u64,
+        index: u64,
+        offset: usize,
+        bytes: &[u8],
+        base: PageRef,
+    ) {
+        if self.write(inode, index, offset, bytes) {
+            return;
+        }
+        let data = base.into_arc();
+        debug_assert_eq!(data.len(), self.page_size);
+        self.tick += 1;
+        let entry = CachedPage { data, dirty: false, original: None, last_use: self.tick };
+        self.pages.insert((inode, index), entry);
+        let applied = self.write(inode, index, offset, bytes);
+        debug_assert!(applied, "freshly installed page accepts the write");
+        self.evict_clean();
+    }
+
     /// Inserts a brand-new page that has no backing content on the device yet
     /// (file extension); it starts dirty with a zero original.
     pub fn insert_new_dirty(&mut self, inode: u64, index: u64, data: impl Into<PageRef>) {
         let data = data.into().into_arc();
         debug_assert_eq!(data.len(), self.page_size);
         self.tick += 1;
-        let original =
-            if self.track_cow { Some(Arc::new(vec![0u8; self.page_size])) } else { None };
+        let original = self.zero_original.clone();
         self.pages.insert(
             (inode, index),
             CachedPage { data, dirty: true, original, last_use: self.tick },
@@ -279,14 +323,9 @@ impl PageCache {
     /// Removes the dirty state of one inode's pages and returns them for
     /// writeback, in ascending page order. The pages stay resident (clean).
     pub fn take_dirty(&mut self, inode: u64) -> Vec<DirtyPage> {
-        let mut keys: Vec<PageKey> = self
-            .pages
-            .iter()
-            .filter(|((ino, _), p)| *ino == inode && p.dirty)
-            .map(|(k, _)| *k)
-            .collect();
-        keys.sort_unstable();
-        self.take_keys(&keys)
+        let mut out = Vec::new();
+        self.take_dirty_into(file_pages(inode), &mut out);
+        out
     }
 
     /// Inodes that currently own at least one dirty page (used by `sync` to
@@ -295,40 +334,46 @@ impl PageCache {
         self.pages.iter().filter(|(_, p)| p.dirty).map(|((ino, _), _)| *ino).collect()
     }
 
-    /// Like [`PageCache::take_dirty`] but for every inode (used by `sync`).
+    /// Like [`PageCache::take_dirty`] but for every inode (used by `sync`),
+    /// in ascending `(inode, page index)` order.
     pub fn take_all_dirty(&mut self) -> Vec<DirtyPage> {
-        let mut keys: Vec<PageKey> =
-            self.pages.iter().filter(|(_, p)| p.dirty).map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        self.take_keys(&keys)
+        let mut out = Vec::new();
+        self.take_dirty_into(.., &mut out);
+        out
     }
 
-    fn take_keys(&mut self, keys: &[PageKey]) -> Vec<DirtyPage> {
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            if let Some(p) = self.pages.get_mut(key) {
+    /// Cleans the dirty pages whose keys fall in `keys` and appends them to
+    /// `out` in key order.
+    fn take_dirty_into(&mut self, keys: impl RangeBounds<PageKey>, out: &mut Vec<DirtyPage>) {
+        for (&(inode, index), p) in self.pages.range_mut(keys) {
+            if p.dirty {
                 p.dirty = false;
-                let original = p.original.take();
                 out.push(DirtyPage {
-                    inode: key.0,
-                    index: key.1,
+                    inode,
+                    index,
                     data: PageRef(Arc::clone(&p.data)),
-                    original: original.map(PageRef),
+                    original: p.original.take().map(PageRef),
                 });
             }
         }
-        out
     }
 
     /// Drops every page (dirty or clean) belonging to an inode (unlink,
     /// truncate).
     pub fn invalidate_inode(&mut self, inode: u64) {
-        self.pages.retain(|(ino, _), _| *ino != inode);
+        self.remove_range(file_pages(inode));
     }
 
     /// Drops pages of `inode` with index >= `from_index` (truncate).
     pub fn invalidate_from(&mut self, inode: u64, from_index: u64) {
-        self.pages.retain(|(ino, idx), _| *ino != inode || *idx < from_index);
+        self.remove_range((inode, from_index)..=(inode, u64::MAX));
+    }
+
+    /// Removes every page whose key falls in `keys`, one lookup per page.
+    fn remove_range(&mut self, keys: RangeInclusive<PageKey>) {
+        while let Some((&key, _)) = self.pages.range(keys.clone()).next() {
+            self.pages.remove(&key);
+        }
     }
 
     /// Drops everything (unmount / simulated host crash).
@@ -365,8 +410,10 @@ impl PageCache {
 ///
 /// Hashing by page (not by inode) also means a single hot file can use the
 /// whole configured capacity rather than `1/shards` of it; the LRU becomes
-/// per-shard (approximate global LRU), and per-inode operations
-/// ([`ShardedPageCache::take_dirty`], the invalidations) scan every shard.
+/// per-shard (approximate global LRU). A file's pages can sit in any shard,
+/// so the per-inode operations ([`ShardedPageCache::take_dirty`], the
+/// invalidations) lock every shard in turn, and in each one look up only the
+/// file's own key range, not every resident page.
 ///
 /// Because a check-then-act pair of calls spans two lock acquisitions (a
 /// concurrent insertion into the same shard may evict a clean page in
@@ -385,9 +432,12 @@ impl ShardedPageCache {
     pub fn new(shards: usize, capacity_pages: usize, page_size: usize, track_cow: bool) -> Self {
         let shards = shards.max(1);
         let per_shard = (capacity_pages / shards).max(1);
+        let zero = zero_page(page_size, track_cow);
         Self {
             shards: (0..shards)
-                .map(|_| Mutex::new(PageCache::new(per_shard, page_size, track_cow)))
+                .map(|_| {
+                    Mutex::new(PageCache::with_zero_original(per_shard, page_size, zero.clone()))
+                })
                 .collect(),
         }
     }
@@ -418,20 +468,15 @@ impl ShardedPageCache {
         self.shard(inode, index).lock().write(inode, index, offset, bytes)
     }
 
-    /// Full-page dirty write in one lock hold: overwrites the resident page,
-    /// or installs the data as a brand-new dirty page when it is absent
-    /// (whether never loaded or just evicted by a concurrent insertion).
+    /// [`PageCache::write_full_page`] in one lock hold: the page may be
+    /// absent because it was never loaded or because a concurrent insertion
+    /// just evicted it.
     pub fn write_full_page(&self, inode: u64, index: u64, data: Vec<u8>) {
-        let mut shard = self.shard(inode, index).lock();
-        if !shard.write(inode, index, 0, &data) {
-            shard.insert_new_dirty(inode, index, data);
-        }
+        self.shard(inode, index).lock().write_full_page(inode, index, data);
     }
 
-    /// Partial write in one lock hold: applies `bytes` at `offset` to the
-    /// resident page, or installs `base` (the page's pre-write contents, read
-    /// by the caller) first when the page is absent. The caller must hold the
-    /// inode's write lock so `base` cannot be stale.
+    /// [`PageCache::write_with_fallback`] in one lock hold. The caller must
+    /// hold the inode's write lock so `base` cannot be stale.
     pub fn write_with_fallback(
         &self,
         inode: u64,
@@ -440,12 +485,7 @@ impl ShardedPageCache {
         bytes: &[u8],
         base: PageRef,
     ) {
-        let mut shard = self.shard(inode, index).lock();
-        if !shard.write(inode, index, offset, bytes) {
-            shard.insert_clean(inode, index, base);
-            let applied = shard.write(inode, index, offset, bytes);
-            debug_assert!(applied, "freshly installed page accepts the write");
-        }
+        self.shard(inode, index).lock().write_with_fallback(inode, index, offset, bytes, base);
     }
 
     /// See [`PageCache::insert_clean`].
@@ -458,11 +498,14 @@ impl ShardedPageCache {
         self.shard(inode, index).lock().insert_new_dirty(inode, index, data);
     }
 
-    /// See [`PageCache::take_dirty`]; scans every shard and returns the pages
-    /// in ascending page order (deterministic writeback order).
+    /// See [`PageCache::take_dirty`]; takes the inode's key range from every
+    /// shard and returns the pages in ascending page order (deterministic
+    /// writeback order).
     pub fn take_dirty(&self, inode: u64) -> Vec<DirtyPage> {
-        let mut out: Vec<DirtyPage> =
-            self.shards.iter().flat_map(|s| s.lock().take_dirty(inode)).collect();
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            shard.lock().take_dirty_into(file_pages(inode), &mut out);
+        }
         out.sort_unstable_by_key(|dp| dp.index);
         out
     }
@@ -491,19 +534,16 @@ impl ShardedPageCache {
         self.len() == 0
     }
 
-    /// Total bytes used by duplicate (CoW) pages.
-    pub fn cow_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().cow_bytes()).sum()
-    }
-
-    /// See [`PageCache::invalidate_inode`]; scans every shard.
+    /// See [`PageCache::invalidate_inode`]; removes the inode's key range
+    /// from every shard.
     pub fn invalidate_inode(&self, inode: u64) {
         for shard in &self.shards {
             shard.lock().invalidate_inode(inode);
         }
     }
 
-    /// See [`PageCache::invalidate_from`]; scans every shard.
+    /// See [`PageCache::invalidate_from`]; removes the key range from every
+    /// shard.
     pub fn invalidate_from(&self, inode: u64, from_index: u64) {
         for shard in &self.shards {
             shard.lock().invalidate_from(inode, from_index);
@@ -571,6 +611,9 @@ pub fn modified_ratio(original: &[u8], current: &[u8], chunk: usize) -> f64 {
 }
 
 #[cfg(test)]
+mod model_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -631,7 +674,6 @@ mod tests {
         c.insert_clean(1, 0, vec![7u8; PS]);
         c.write(1, 0, 0, &[1u8; 64]);
         c.write(1, 0, 64, &[2u8; 64]);
-        assert_eq!(c.cow_bytes(), PS);
         let dirty = c.take_dirty(1);
         assert_eq!(dirty.len(), 1);
         let orig = dirty[0].original.as_ref().unwrap();
@@ -712,6 +754,17 @@ mod tests {
         c.insert_new_dirty(1, 0, vec![1u8; PS]);
         c.insert_new_dirty(1, 1, vec![2u8; PS]);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn write_with_fallback_lands_in_a_cache_full_of_dirty_pages() {
+        // The installed page is the only clean one until the write makes it
+        // dirty; making room first would evict it and drop the write.
+        let mut c = PageCache::new(1, PS, false);
+        c.insert_new_dirty(1, 0, vec![1u8; PS]);
+        c.write_with_fallback(1, 1, 4, &[7u8; 4], PageRef::zeroed(PS));
+        assert_eq!(&c.get(1, 1).unwrap()[..8], &[0, 0, 0, 0, 7, 7, 7, 7]);
+        assert_eq!(c.dirty_count(), 2);
     }
 
     #[test]
