@@ -9,7 +9,8 @@
 //! * one queued command's journey (SQ submit → doorbell → flash program →
 //!   CQ completion) shares a single command track — the property that makes
 //!   a write's life a single flame in the Perfetto UI;
-//! * the op-trace has one line per completed command.
+//! * the op-trace opens with the run's `#optrace` header and has one
+//!   `cmd=… ok|error|abort` line per completed or aborted command.
 //!
 //! Usage: `trace_smoke [trace_out.json] [optrace_out.txt]` — defaults
 //! `trace_smoke.json` / `trace_smoke.txt`. Exits non-zero on any validation
@@ -20,8 +21,8 @@ use std::collections::BTreeSet;
 use bench::report::Json;
 use mssd::queue::Command;
 use mssd::{
-    chrome_trace_json, op_trace_text, parse_op_trace, Category, DramMode, Mssd, MssdConfig,
-    OpTraceMeta, TraceKind, PAGE_SIZE,
+    chrome_trace_json, op_trace_text, Category, DramMode, Mssd, MssdConfig, OpTraceMeta, TraceKind,
+    OP_TRACE_SCHEMA, PAGE_SIZE,
 };
 
 /// Drives a small mixed workload through a host queue with tracing on and
@@ -139,20 +140,31 @@ fn main() {
         .iter()
         .filter(|e| matches!(e.kind, TraceKind::CqComplete | TraceKind::Abort))
         .count();
-    // The op trace must round-trip through the ingest parser: the header
-    // carries the device geometry, and every completion is one entry.
-    let parsed = match parse_op_trace(&text) {
-        Ok(parsed) => parsed,
-        Err(e) => fail(&format!("exported op trace does not parse: {e}")),
-    };
-    if parsed.meta != Some(meta) {
-        fail("op-trace header metadata did not survive the round trip");
+    // The op trace opens with a header carrying the run's seed and device
+    // geometry, followed by one `cmd=… ok|error|abort` line per completion.
+    let mut lines = text.lines();
+    let header = format!(
+        "#optrace v{OP_TRACE_SCHEMA} seed={:#x} capacity_bytes={} page_size={}",
+        meta.seed, meta.capacity_bytes, meta.page_size
+    );
+    if lines.next() != Some(header.as_str()) {
+        fail(&format!("op-trace header is not {header:?}"));
     }
-    if parsed.entries.len() != completions {
-        fail(&format!(
-            "op-trace has {} entries for {completions} completions",
-            parsed.entries.len()
-        ));
+    let mut entries = 0;
+    for line in lines {
+        let mut has_cmd = false;
+        let mut has_outcome = false;
+        for tok in line.split_ascii_whitespace() {
+            has_cmd |= tok.starts_with("cmd=");
+            has_outcome |= matches!(tok, "ok" | "error" | "abort");
+        }
+        if !has_cmd || !has_outcome {
+            fail(&format!("op-trace line {line:?} lacks a cmd= id or an outcome"));
+        }
+        entries += 1;
+    }
+    if entries != completions {
+        fail(&format!("op-trace has {entries} entries for {completions} completions"));
     }
 
     println!(

@@ -122,9 +122,8 @@ pub use stats::{
     AtomicTraffic, Category, Interface, QueueLat, StatsSnapshot, TrafficCounter, QUEUE_SLOTS,
 };
 pub use trace::{
-    chrome_trace_json, op_trace_text, parse_op_trace, CtxScope, OpTraceEntry, OpTraceMeta,
-    OpTraceOutcome, ParsedOpTrace, TraceCtx, TraceDump, TraceEvent, TraceKind, TraceSink,
-    OP_TRACE_SCHEMA,
+    chrome_trace_json, op_trace_text, CtxScope, OpTraceMeta, OpTraceOutcome, TraceCtx, TraceDump,
+    TraceEvent, TraceKind, TraceSink, OP_TRACE_SCHEMA,
 };
 pub use txn::TxId;
 

@@ -1364,27 +1364,32 @@ mod tests {
     #[test]
     fn submit_with_retry_recovers_from_an_injected_hang() {
         use crate::fault::{HangFaultConfig, HangFaultPlan};
-        let d =
-            Mssd::new(
+        let write =
+            Command::ByteWrite { addr: 0, data: vec![6; 64], txid: None, cat: Category::Data };
+        // A lost data write and a lost FLUSH barrier both time out, abort and
+        // retry through the same policy.
+        for cmd in [write, Command::Flush] {
+            let is_write = matches!(cmd, Command::ByteWrite { .. });
+            let d = Mssd::new(
                 MssdConfig::small_test().with_hang_fault_plan(HangFaultPlan::new(
                     HangFaultConfig { seed: 5, hang_loss_at: 1, ..Default::default() },
                 )),
                 DramMode::WriteLog,
             );
-        let rt = Runtime::new(&d, 0, 1, 8);
-        let r = Arc::clone(rt.reactor());
-        let (out, attempts) = rt.block_on(async move {
-            r.submit_with_retry(
-                0,
-                Command::ByteWrite { addr: 0, data: vec![6; 64], txid: None, cat: Category::Data },
-                RetryPolicy::default(),
-            )
-            .await
-        });
-        assert!(out.expect("resolves").is_ok(), "the retry succeeded");
-        assert_eq!(attempts, 1, "one retry after the hang timeout");
-        assert_eq!(d.traffic().retries, 1);
-        assert_eq!(d.byte_read(0, 64, Category::Data), vec![6; 64]);
+            let rt = Runtime::new(&d, 0, 1, 8);
+            let r = Arc::clone(rt.reactor());
+            let (out, attempts) = rt
+                .block_on(async move { r.submit_with_retry(0, cmd, RetryPolicy::default()).await });
+            assert!(out.expect("resolves").is_ok(), "the retry succeeded (write: {is_write})");
+            assert_eq!(attempts, 1, "one retry after the hang timeout");
+            let t = d.traffic();
+            assert_eq!(t.hang_timeouts, 1);
+            assert_eq!(t.aborts, 1);
+            assert_eq!(t.retries, 1);
+            if is_write {
+                assert_eq!(d.byte_read(0, 64, Category::Data), vec![6; 64]);
+            }
+        }
     }
 
     #[test]

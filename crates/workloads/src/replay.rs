@@ -1,22 +1,21 @@
 //! Deterministic capture and replay of file-system op traces.
 //!
-//! The `mssd::trace` pipeline (PR 9) captures what the *device* saw — every
+//! The `mssd::trace` pipeline captures what the *device* saw — every
 //! NVMe-style command with timestamps and outcomes, exported by
-//! [`mssd::op_trace_text`] and read back by [`mssd::parse_op_trace`]. That
-//! format is ideal for inspecting one run but cannot be re-driven against a
-//! *different* file system: a device command stream encodes one fs
-//! implementation's private layout decisions. This module records one level
-//! up, at the [`FileSystem`] boundary, where the op stream (`create`,
-//! `write`, `fsync`, `rename`, ...) is implementation-neutral:
+//! [`mssd::op_trace_text`]. That format is ideal for inspecting one run but
+//! cannot be re-driven against a *different* file system: a device command
+//! stream encodes one fs implementation's private layout decisions. This
+//! module records one level up, at the [`FileSystem`] boundary, where the op
+//! stream (`create`, `write`, `fsync`, `rename`, ...) is
+//! implementation-neutral:
 //!
 //! * [`RecordingFs`] wraps any `FileSystem` and logs every call — op kind,
 //!   paths, handle identity, offsets, byte-exact payloads, the ambient
 //!   tenant (from [`mssd::trace::ctx`]) and the virtual timestamp at issue;
 //! * [`OpTrace`] is the captured trace: a versioned header
 //!   ([`TraceMeta`]: schema, workload name, seed, device geometry) plus the
-//!   ordered records, serializable as grep-able text
-//!   ([`OpTrace::to_text`]) and as a compact binary sibling for large
-//!   corpora ([`OpTrace::to_binary`]);
+//!   ordered records, serialized as grep-able text ([`OpTrace::to_text`],
+//!   read back by [`OpTrace::from_text`]);
 //! * [`replay`] re-drives a parsed trace against any [`FileSystem`] impl
 //!   (bytefs, ext4like, novalike, f2fslike, pmfslike) preserving per-tenant
 //!   order, with configurable concurrency and timing ([`ReplaySpeed`]).
@@ -60,11 +59,8 @@ use crate::fsfactory::FsKind;
 use crate::metrics::{Histogram, LatencyStats, OpClass, Recorder};
 use crate::Workload;
 
-/// Schema version of the fs-level op-trace formats (text and binary).
+/// Schema version of the fs-level op-trace text format.
 pub const FS_TRACE_SCHEMA: u64 = 1;
-
-/// Magic number opening the binary trace format.
-pub const FS_TRACE_MAGIC: [u8; 4] = *b"FSRB";
 
 /// Sentinel recorded as the handle of a `create`/`open` that failed.
 pub const NO_FD: u64 = u64::MAX;
@@ -486,72 +482,6 @@ impl OpTrace {
         Ok(Self { meta, records })
     }
 
-    /// Serializes the trace in the compact binary format: the
-    /// [`FS_TRACE_MAGIC`] magic, a version word, the header, then
-    /// fixed-width little-endian records. Roughly 4–10× smaller than the
-    /// text form on payload-heavy corpora.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.records.len() * 32);
-        out.extend_from_slice(&FS_TRACE_MAGIC);
-        out.extend_from_slice(&(self.meta.schema as u32).to_le_bytes());
-        put_str(&mut out, &self.meta.name);
-        out.extend_from_slice(&self.meta.seed.to_le_bytes());
-        out.extend_from_slice(&self.meta.capacity_bytes.to_le_bytes());
-        out.extend_from_slice(&self.meta.page_size.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
-        for r in &self.records {
-            out.extend_from_slice(&r.vts_ns.to_le_bytes());
-            out.extend_from_slice(&r.tenant.to_le_bytes());
-            out.push((r.measured as u8) | (r.ok as u8) << 1);
-            put_op(&mut out, &r.op);
-        }
-        out
-    }
-
-    /// Parses [`OpTrace::to_binary`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on a bad magic, an unsupported version or a
-    /// truncated/corrupt body.
-    pub fn from_binary(data: &[u8]) -> Result<Self, String> {
-        let mut c = Cursor { data, pos: 0 };
-        if c.take(4)? != FS_TRACE_MAGIC {
-            return Err("not a binary fs trace (bad magic)".into());
-        }
-        let schema = u32::from_le_bytes(c.take(4)?.try_into().expect("4 bytes")) as u64;
-        if schema > FS_TRACE_SCHEMA {
-            return Err(format!(
-                "binary fstrace schema v{schema} is newer than supported v{FS_TRACE_SCHEMA}"
-            ));
-        }
-        let name = c.get_str()?;
-        let seed = c.get_u64()?;
-        let capacity_bytes = c.get_u64()?;
-        let page_size = c.get_u64()?;
-        let count = c.get_u64()?;
-        // A corrupt count must not pre-allocate unbounded memory.
-        let mut records = Vec::with_capacity((count as usize).min(1 << 20));
-        for seq in 0..count {
-            let vts_ns = c.get_u64()?;
-            let tenant = c.get_u16()?;
-            let bits = c.get_u8()?;
-            let op = get_op(&mut c)?;
-            records.push(OpRecord {
-                seq,
-                tenant,
-                vts_ns,
-                measured: bits & 1 != 0,
-                ok: bits & 2 != 0,
-                op,
-            });
-        }
-        if c.pos != data.len() {
-            return Err(format!("{} trailing bytes after the last record", data.len() - c.pos));
-        }
-        Ok(Self { meta: TraceMeta { schema, name, seed, capacity_bytes, page_size }, records })
-    }
-
     /// Tenants present in the trace, ascending.
     pub fn tenants(&self) -> Vec<u16> {
         let mut t: Vec<u16> = self.records.iter().map(|r| r.tenant).collect();
@@ -559,182 +489,6 @@ impl OpTrace {
         t.dedup();
         t
     }
-}
-
-// Binary helpers -------------------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_payload(out: &mut Vec<u8>, p: &Payload) {
-    match p {
-        Payload::Fill { byte, len } => {
-            out.push(0);
-            out.push(*byte);
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        Payload::Bytes(b) => {
-            out.push(1);
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-    }
-}
-
-fn put_op(out: &mut Vec<u8>, op: &OpKind) {
-    match op {
-        OpKind::Create { path, fd } => {
-            out.push(1);
-            put_str(out, path);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Open { path, flags, fd } => {
-            out.push(2);
-            put_str(out, path);
-            out.push(*flags);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Close { fd } => {
-            out.push(3);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Read { fd, offset, len } => {
-            out.push(4);
-            out.extend_from_slice(&fd.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        OpKind::Write { fd, offset, data } => {
-            out.push(5);
-            out.extend_from_slice(&fd.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            put_payload(out, data);
-        }
-        OpKind::Append { fd, data } => {
-            out.push(6);
-            out.extend_from_slice(&fd.to_le_bytes());
-            put_payload(out, data);
-        }
-        OpKind::Fsync { fd } => {
-            out.push(7);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Fdatasync { fd } => {
-            out.push(8);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Truncate { fd, size } => {
-            out.push(9);
-            out.extend_from_slice(&fd.to_le_bytes());
-            out.extend_from_slice(&size.to_le_bytes());
-        }
-        OpKind::Fstat { fd } => {
-            out.push(10);
-            out.extend_from_slice(&fd.to_le_bytes());
-        }
-        OpKind::Stat { path } => {
-            out.push(11);
-            put_str(out, path);
-        }
-        OpKind::Mkdir { path } => {
-            out.push(12);
-            put_str(out, path);
-        }
-        OpKind::Rmdir { path } => {
-            out.push(13);
-            put_str(out, path);
-        }
-        OpKind::Unlink { path } => {
-            out.push(14);
-            put_str(out, path);
-        }
-        OpKind::Rename { from, to } => {
-            out.push(15);
-            put_str(out, from);
-            put_str(out, to);
-        }
-        OpKind::Readdir { path } => {
-            out.push(16);
-            put_str(out, path);
-        }
-        OpKind::Sync => out.push(17),
-        OpKind::DropCaches => out.push(18),
-        OpKind::Unmount => out.push(19),
-    }
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let end = end.ok_or_else(|| format!("truncated trace at byte {}", self.pos))?;
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn get_u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn get_u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn get_u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn get_str(&mut self) -> Result<String, String> {
-        let len = self.get_u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| "non-UTF-8 string".to_string())
-    }
-
-    fn get_payload(&mut self) -> Result<Payload, String> {
-        match self.get_u8()? {
-            0 => Ok(Payload::Fill { byte: self.get_u8()?, len: self.get_u32()? }),
-            1 => {
-                let len = self.get_u32()? as usize;
-                Ok(Payload::Bytes(self.take(len)?.to_vec()))
-            }
-            t => Err(format!("unknown payload tag {t}")),
-        }
-    }
-}
-
-fn get_op(c: &mut Cursor<'_>) -> Result<OpKind, String> {
-    Ok(match c.get_u8()? {
-        1 => OpKind::Create { path: c.get_str()?, fd: c.get_u64()? },
-        2 => OpKind::Open { path: c.get_str()?, flags: c.get_u8()?, fd: c.get_u64()? },
-        3 => OpKind::Close { fd: c.get_u64()? },
-        4 => OpKind::Read { fd: c.get_u64()?, offset: c.get_u64()?, len: c.get_u32()? },
-        5 => OpKind::Write { fd: c.get_u64()?, offset: c.get_u64()?, data: c.get_payload()? },
-        6 => OpKind::Append { fd: c.get_u64()?, data: c.get_payload()? },
-        7 => OpKind::Fsync { fd: c.get_u64()? },
-        8 => OpKind::Fdatasync { fd: c.get_u64()? },
-        9 => OpKind::Truncate { fd: c.get_u64()?, size: c.get_u64()? },
-        10 => OpKind::Fstat { fd: c.get_u64()? },
-        11 => OpKind::Stat { path: c.get_str()? },
-        12 => OpKind::Mkdir { path: c.get_str()? },
-        13 => OpKind::Rmdir { path: c.get_str()? },
-        14 => OpKind::Unlink { path: c.get_str()? },
-        15 => OpKind::Rename { from: c.get_str()?, to: c.get_str()? },
-        16 => OpKind::Readdir { path: c.get_str()? },
-        17 => OpKind::Sync,
-        18 => OpKind::DropCaches,
-        19 => OpKind::Unmount,
-        t => Err(format!("unknown op tag {t}"))?,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1476,20 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_format_round_trips_and_is_smaller() {
-        let recorded = tiny_trace();
-        let bin = recorded.trace.to_binary();
-        let parsed = OpTrace::from_binary(&bin).expect("parse own binary export");
-        assert_eq!(parsed, recorded.trace);
-        assert!(
-            bin.len() < recorded.trace.to_text().len(),
-            "binary {} vs text {}",
-            bin.len(),
-            recorded.trace.to_text().len()
-        );
-    }
-
-    #[test]
     fn parsers_reject_corrupt_and_future_inputs() {
         assert!(OpTrace::from_text("").is_err(), "missing header");
         assert!(OpTrace::from_text("#fstrace v9 name=x seed=0 capacity_bytes=0 page_size=0 ops=0")
@@ -1498,11 +1238,6 @@ mod tests {
         let mut text: Vec<String> = recorded.trace.to_text().lines().map(String::from).collect();
         text[1] = "garbage".into();
         assert!(OpTrace::from_text(&text.join("\n")).is_err());
-        let mut bin = recorded.trace.to_binary();
-        bin[0] = b'X';
-        assert!(OpTrace::from_binary(&bin).is_err(), "bad magic");
-        let bin = recorded.trace.to_binary();
-        assert!(OpTrace::from_binary(&bin[..bin.len() - 3]).is_err(), "truncated");
     }
 
     #[test]
